@@ -29,9 +29,9 @@ Modes:
     ``BENCH_simspeed.json`` at the repo root
     is generated this way.  ``--only name,name`` restricts the run
     (unknown names exit 2); ``--timing`` appends markdown tables
-    reporting trace **compile** time, resolution-memo hit/flush
-    counters, and charge-plan capture/apply counters separately from
-    the executed op/s numbers (the
+    reporting trace **compile** time, resolution-memo hit/flush and
+    replay-kernel cache counters, and charge-plan capture/apply
+    counters separately from the executed op/s numbers (the
     ``trace_replay`` cell times execution only).  ``--memo off``
     disables the resolution memo (:mod:`repro.core.resmemo`) in every
     benchmark kernel, and ``--plans off`` disables charge plans
@@ -71,6 +71,7 @@ from typing import Callable, Dict, List, Tuple
 
 from repro import O_CREAT, O_RDWR, make_kernel
 from repro.bench import parallel
+from repro.sim.costs import kernel_telemetry
 from repro.sim.snapshot import KernelSnapshot
 from repro.workloads import lmbench, server_fleet
 from repro.workloads.compile import build_loop_trace, compile_trace
@@ -651,16 +652,20 @@ def print_timing_appendix() -> None:
 
 
 def _print_memo_appendix() -> None:
-    """Resolution-memo hit/flush counters over a representative workload.
+    """Resolution-memo and replay-kernel counters over a sample workload.
 
-    Host-side telemetry only (``repro.core.resmemo``): the counters live
-    outside ``Stats`` precisely so the memo cannot perturb golden
-    counters, which is why they are reported here rather than in any
-    virtual-cost table.  The sampled workload is 50 ``stat_churn`` ops
-    (whose per-op rename flips exercise the flush path — each flush
-    discards the whole memo, so the churn phase alone never replays)
-    followed by a warm phase of repeated stats, where entries survive
-    long enough to be confirmed and hit.
+    Host-side telemetry only (``repro.core.resmemo`` and
+    ``repro.sim.costs.kernel_telemetry``): the counters live outside
+    ``Stats`` precisely so the memo cannot perturb golden counters,
+    which is why they are reported here rather than in any virtual-cost
+    table.  The sampled workload is 50 ``stat_churn`` ops (whose per-op
+    rename flips exercise scoped invalidation — each rename kills the
+    entries that observed the moved dentries) followed by a warm phase
+    of repeated stats, where entries survive long enough to be
+    confirmed and hit.  The kernel columns are this row's share of the
+    process-wide shape-kernel cache: kernels compiled, cache hits and
+    LRU evictions while the row's workload ran (a shape compiled for an
+    earlier row is a hit in a later one).
     """
     print()
     print("## Resolution-memo counters "
@@ -670,9 +675,12 @@ def _print_memo_appendix() -> None:
         print("resolution memo disabled (--memo off / "
               "REPRO_RESOLUTION_MEMO)")
         return
-    print("| profile | hits | misses | stale | flushes | entries |")
-    print("|---------|------|--------|-------|---------|---------|")
+    print("| profile | hits | misses | stale | flushes | entries "
+          "| kernels compiled | kernel hits | kernel evictions |")
+    print("|---------|------|--------|-------|---------|---------"
+          "|------------------|-------------|------------------|")
     for profile in PROFILES:
+        before = kernel_telemetry()
         kernel, task, bind = _setup_stat_churn(profile)
         op = bind(kernel, task)
         for _ in range(50):
@@ -681,8 +689,11 @@ def _print_memo_appendix() -> None:
             for i in range(8):
                 kernel.sys.stat(task, f"/s/hot/f{i}")
         memo = kernel.memo
+        kern = {key: value - before[key]
+                for key, value in kernel_telemetry().items()}
         print(f"| {profile} | {memo.hits} | {memo.misses} | {memo.stale} "
-              f"| {memo.flushes} | {len(memo)} |")
+              f"| {memo.flushes} | {len(memo)} | {kern['compiled']} "
+              f"| {kern['hits']} | {kern['evictions']} |")
 
 
 def _print_plan_appendix() -> None:

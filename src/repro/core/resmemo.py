@@ -45,11 +45,14 @@ open re-resolves its path from the memo; the mutation invalidates
 *after* resolution, so the read is legal).
 
 On acceptance the memo *replays* the recorded charges and counter
-deltas through :meth:`CostModel.replay_events`, re-deriving every
-nanosecond figure from the current rate table in the same
-floating-point operation order as the original charges, so virtual
-costs and stats stay bit-identical on all three kernel profiles while
-the Python resolve machinery is skipped entirely.
+deltas through a shape kernel (:meth:`CostModel.compile_replay`): every
+nanosecond figure is re-derived from the current rate table once per
+``rates_version``, and a straight-line kernel compiled once per charge
+*shape* — shared by every entry with the same rows, count primitives
+and stat names — applies them in the same floating-point operation
+order as the original charges.  Virtual costs and stats therefore stay
+bit-identical on all three kernel profiles while the Python resolve
+machinery is skipped entirely.
 
 Correctness protocol — confirm on second identical execution
 ------------------------------------------------------------
@@ -225,8 +228,7 @@ class _Entry:
         "steady",           # no mutation-adjacent charges: skip counter
         "refs",             # strong refs pinning every id() in the key
         "confirmed",        # replayable only after a second identical run
-        "compiled",         # lazy (rates_version, rows, counts, lru, pcc, fn)
-        "replays",          # replay count (gates exec-compilation)
+        "compiled",         # lazy (rates_version, kernel, args, lru, pcc)
     )
 
 
@@ -260,10 +262,6 @@ class ResolutionMemo:
     #: a key whose recordings never confirm ends up recording at most
     #: once per ``_RECORD_AFTER << _MAX_BURN`` misses.
     _MAX_BURN = 6
-
-    #: Interpreted replays before an entry's charge sequence is
-    #: exec-compiled into straight-line code (see ``_replay``).
-    _EXEC_AFTER = 3
 
     def __init__(self, costs, stats, coherence, dcache, resolver,
                  capacity: int = 4096) -> None:
@@ -403,24 +401,8 @@ class ResolutionMemo:
         costs = self.costs
         if compiled is None or compiled[0] != costs.rates_version:
             compiled = self._compile(entry)
-        fn = compiled[5]
-        if fn is not None:
-            fn(costs.clock, costs.by_primitive, costs.by_scope,
-               costs.counts, self.stats._counters)
-        else:
-            replays = entry.replays + 1
-            entry.replays = replays
-            if replays >= self._EXEC_AFTER:
-                # This entry is hot: exec-compile the charge sequence
-                # into straight-line code for every replay after this.
-                fn = costs.compile_replay_fn(compiled[1], compiled[2],
-                                             entry.stat_deltas)
-                entry.compiled = compiled[:5] + (fn,)
-                fn(costs.clock, costs.by_primitive, costs.by_scope,
-                   costs.counts, self.stats._counters)
-            else:
-                costs.replay_compiled(compiled[1], compiled[2])
-                self.stats.bump_many(entry.stat_deltas)
+        compiled[1](costs.clock, costs.by_primitive, costs.by_scope,
+                    costs.counts, self.stats._counters, compiled[2])
         lru = self.dcache._lru
         for dkey, dentry in compiled[3]:
             lru[dkey] = dentry
@@ -431,29 +413,30 @@ class ResolutionMemo:
                 move_to_end(dkey)
         exc = entry.outcome_exc
         if exc is not None:
-            raise exc
+            # Without clearing, every re-raise of the one stored
+            # instance would prepend this frame to its traceback chain.
+            raise exc.with_traceback(None)
         return entry.outcome_pos
 
     def _compile(self, entry: _Entry) -> tuple:
         """Precompute the replay-side representation of a recording.
 
-        The charge rows come from :meth:`CostModel.compile_events`
-        (exact per-event ns against the current rate table; invalidated
-        by ``rates_version``).  LRU touches are pre-keyed by ``id()``
-        (the entry holds strong refs, so ids are stable), and PCC
-        touches pre-bind the entry dict and its ``move_to_end``.
+        The kernel and its arguments come from
+        :meth:`CostModel.compile_replay` (exact per-event ns against the
+        current rate table; invalidated by ``rates_version``; the kernel
+        is shared by every entry of the same charge shape, so a
+        short-lived entry costs no ``exec``).  LRU touches are pre-keyed
+        by ``id()`` (the entry holds strong refs, so ids are stable), and
+        PCC touches pre-bind the entry dict and its ``move_to_end``.
         """
-        version, rows, count_deltas = self.costs.compile_events(entry.events)
+        costs = self.costs
+        kernel, args, _total = costs.compile_replay(entry.events,
+                                                    entry.stat_deltas)
         lru_rows = tuple((id(d), d) for d in entry.lru_touches)
         pcc_rows = tuple((pcc._entries, pcc._entries.move_to_end, id(d))
                          for pcc, d in entry.pcc_touches)
-        # The exec-compiled straight-line replayer (slot 5) is deferred
-        # until the entry proves hot (_EXEC_AFTER interpreted replays):
-        # churny workloads invalidate entries after a few replays, and
-        # an ``exec`` per short-lived entry costs more than it saves.
-        compiled = (version, rows, count_deltas, lru_rows, pcc_rows, None)
+        compiled = (costs.rates_version, kernel, args, lru_rows, pcc_rows)
         entry.compiled = compiled
-        entry.replays = 0
         return compiled
 
     # ------------------------------------------------------------------
@@ -624,7 +607,6 @@ class ResolutionMemo:
         entry.refs = (task.ns, task.root, task.cwd, task.cred)
         entry.confirmed = False
         entry.compiled = None
-        entry.replays = 0
         self._snapshot(key, entry, task, path, rec)
         entries = self._entries
         entries[key] = entry

@@ -25,7 +25,8 @@ Figure 3 breakdown and Figure 1 time-fraction experiments are produced.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from collections import OrderedDict
+from typing import Any, Dict, Optional, Tuple
 
 from repro.sim.clock import Clock
 
@@ -114,6 +115,112 @@ CALIBRATED: Dict[str, float] = {
 #: Unit preset: every primitive costs exactly 1 ns (for counting tests).
 UNIT: Dict[str, float] = {name: 1.0 for name in CALIBRATED}
 
+#: Bound on the process-wide replay-kernel LRU (see
+#: :meth:`CostModel.compile_replay`).  Sized from measured distinct
+#: charge shapes: 34 per process for the resolution memo on a Zipf
+#: lookup run over a 24k-file tree (33 of them on the baseline profile),
+#: 5-8 per profile and 16 per process for a 12-tenant compiled-replay
+#: fleet, plus one per distinct charge-plan stream.  An evicted kernel
+#: keeps working for every holder; a later compile of its shape just
+#: pays the ``exec`` again.
+_KERNEL_CACHE_MAX = 256
+
+#: shape -> compiled replay kernel, least recently used first.
+_KERNELS: "OrderedDict[tuple, Any]" = OrderedDict()
+
+#: Host-side kernel-cache telemetry (``repro-speed --timing``); kept
+#: outside :class:`~repro.sim.stats.Stats` so golden counters never move.
+_KERNEL_TELEMETRY: Dict[str, int] = {"compiled": 0, "hits": 0,
+                                     "evictions": 0}
+
+
+def kernel_telemetry() -> Dict[str, int]:
+    """Copy of the process-wide replay-kernel counters: kernels
+    ``compiled``, kernel-cache ``hits`` and LRU ``evictions``."""
+    return dict(_KERNEL_TELEMETRY)
+
+
+def _kernel_for(shape: tuple):
+    """The replay kernel for ``shape``, compiled on first use (LRU)."""
+    kernels = _KERNELS
+    kernel = kernels.get(shape)
+    if kernel is None:
+        kernel = kernels[shape] = _compile_kernel(shape)
+        _KERNEL_TELEMETRY["compiled"] += 1
+        if len(kernels) > _KERNEL_CACHE_MAX:
+            kernels.popitem(last=False)
+            _KERNEL_TELEMETRY["evictions"] += 1
+    else:
+        kernels.move_to_end(shape)
+        _KERNEL_TELEMETRY["hits"] += 1
+    return kernel
+
+
+def _compile_kernel(shape: tuple):
+    """exec-compile one charge shape into a straight-line replay kernel.
+
+    The generated ``kernel(clock, bp, bs, counts, extra, args)`` unpacks
+    ``args`` into locals and loads every ``bp``/``bs`` value the shape
+    touches into a local (0.0 when absent).  Then it runs one fixed
+    statement run per row: the same float additions, in the same order,
+    as the original charges.  Finally it stores the values back in
+    first-use order, so keys a replay creates enter the dicts in the
+    order the charges created them.  Every accumulator receives exactly
+    the original sequence of adds, so every replay is bit-identical to
+    re-running the charges (a created key starts from 0.0, and
+    ``0.0 + ns == ns`` for the nonnegative charges the model produces).
+    Holding the values in locals keeps the per-row work to three float
+    adds instead of two dict updates and one add.
+    """
+    rows, count_names, stat_names = shape
+    params = ([f"n{i}" for i in range(len(rows))]
+              + [f"c{i}" for i in range(len(count_names))]
+              + [f"d{i}" for i in range(len(stat_names))])
+    bp_vars: Dict[str, str] = {}
+    bs_vars: Dict[str, str] = {}
+    for scope, primitive, _raw in rows:
+        if primitive not in bp_vars:
+            bp_vars[primitive] = f"p{len(bp_vars)}"
+        if scope is not None and scope not in bs_vars:
+            bs_vars[scope] = f"q{len(bs_vars)}"
+    src = ["def _kernel(clock, bp, bs, counts, extra, args):"]
+    app = src.append
+    if params:
+        app(f" {', '.join(params)}, = args")
+    for d, acc in (("bp", bp_vars), ("bs", bs_vars)):
+        for key, var in acc.items():
+            app(f" try: {var} = {d}[{key!r}]")
+            app(f" except KeyError: {var} = 0.0")
+    app(" now = clock._now_ns")
+    for i, (scope, primitive, raw) in enumerate(rows):
+        n = f"n{i}"
+        if raw:
+            # Raw charge_ns row: route through the clock's monotonicity
+            # check like the original charge did.
+            app(" clock._now_ns = now")
+            app(f" clock.advance({n})")
+            app(" now = clock._now_ns")
+        else:
+            app(f" now = now + {n}")
+        var = bp_vars[primitive]
+        app(f" {var} = {var} + {n}")
+        if scope is not None:
+            var = bs_vars[scope]
+            app(f" {var} = {var} + {n}")
+    app(" clock._now_ns = now")
+    for d, acc in (("bp", bp_vars), ("bs", bs_vars)):
+        for key, var in acc.items():
+            app(f" {d}[{key!r}] = {var}")
+    for i, primitive in enumerate(count_names):
+        app(f" try: counts[{primitive!r}] += c{i}")
+        app(f" except KeyError: counts[{primitive!r}] = c{i}")
+    for i, name in enumerate(stat_names):
+        app(f" try: extra[{name!r}] += d{i}")
+        app(f" except KeyError: extra[{name!r}] = d{i}")
+    namespace: Dict[str, object] = {}
+    exec("\n".join(src), namespace)  # noqa: S102 - self-generated code
+    return namespace["_kernel"]
+
 
 class _ScopeGuard:
     """Reusable, allocation-free replacement for a contextmanager scope.
@@ -174,9 +281,10 @@ class PlanRecording:
 class ChargePlan:
     """An immutable captured charge vector for one compiled-trace segment.
 
-    ``fn`` is a :meth:`CostModel.compile_replay_fn` straight-line
-    replayer for the segment's exact charge-event stream — applying it
-    is bit-identical to re-running the interpreted charges.
+    ``fn(clock, by_primitive, by_scope, counts, None, args)`` is the
+    shared replay kernel for the segment's charge shape and ``args`` its
+    exact numbers (see :meth:`CostModel.compile_replay`) —
+    applying it is bit-identical to re-running the interpreted charges.
     ``total_ns`` is the exact virtual time the plan advances (the
     left-to-right float fold of its event nanoseconds), used for the
     sweeper-deadline guard.  ``gen``/``rates_version`` snapshot the
@@ -188,18 +296,19 @@ class ChargePlan:
     recorded; an identical stream admits the task to the shared plan —
     see ``workloads/traces.py``).
 
-    ``fn2``/``q_fired``/``body_ns`` exist only on quantized whole-pass /
-    whole-drain plans (``DcacheConfig.lazy_sweep_quantize``): ``fn`` then
-    replays the pass *body*, ``fn2`` the boundary catch-up sweep's
-    charges (``None`` when the sweep charged nothing), ``q_fired``
+    ``fn2``/``args2``/``q_fired``/``body_ns`` exist only on quantized
+    whole-pass / whole-drain plans (``DcacheConfig.lazy_sweep_quantize``):
+    ``fn`` then replays the pass *body*, ``fn2`` the boundary catch-up
+    sweep's charges (``None`` when the sweep charged nothing), ``q_fired``
     whether the sweeper deadline elapsed at the boundary, and
     ``body_ns`` the body's float-fold total for the boundary-decision
     guard.  Non-quantized plans carry ``q_fired is None`` and
     ``body_ns == total_ns``.
     """
 
-    __slots__ = ("fn", "stat_deltas", "total_ns", "gen", "rates_version",
-                 "capture", "fn2", "q_fired", "body_ns")
+    __slots__ = ("fn", "args", "stat_deltas", "total_ns", "gen",
+                 "rates_version", "capture", "fn2", "args2", "q_fired",
+                 "body_ns")
 
 
 class PlanCell:
@@ -385,7 +494,8 @@ class ChargePlanRegistry:
         — the one mismatch class where rebuilding the plan from the fresh
         capture (:meth:`patch`) is cheaper than a full
         invalidate+recapture cycle and just as sound, because the replay
-        function is recompiled from the new stream wholesale.
+        arguments are recompiled from the new stream wholesale (a
+        shape-local capture keeps the plan's kernel).
         """
         if len(events) != len(base):
             return False
@@ -400,7 +510,7 @@ class ChargePlanRegistry:
                 return False
         return True
 
-    def patch(self, cell: "PlanCell", fn, total_ns: float, capture,
+    def patch(self, cell: "PlanCell", fn, args, total_ns: float, capture,
               rates_version: int, task) -> None:
         """Rebuild a segment cell's plan in place from a fresh capture.
 
@@ -414,12 +524,14 @@ class ChargePlanRegistry:
         """
         plan = ChargePlan()
         plan.fn = fn
+        plan.args = args
         plan.stat_deltas = capture[1]
         plan.total_ns = total_ns
         plan.gen = self.gen
         plan.rates_version = rates_version
         plan.capture = capture
         plan.fn2 = None
+        plan.args2 = None
         plan.q_fired = None
         plan.body_ns = total_ns
         cell.plan = plan
@@ -477,7 +589,7 @@ class CostModel:
         #: ``recorder.events`` (see :mod:`repro.core.resmemo`).
         self.recorder = None
         #: Bumped by every rate rebuild; event sequences compiled by
-        #: :meth:`compile_events` are tagged with it so a
+        #: :meth:`compile_replay` are tagged with it so a
         #: :meth:`recalibrate` invalidates them.
         self.rates_version = 0
         #: Captured charge plans for compiled-trace segments (see
@@ -664,167 +776,58 @@ class CostModel:
             rec.events.append(
                 (_RAW_NS, scope_hint, ns, stack[-1] if stack else None))
 
-    def replay_events(self, events) -> None:
-        """Re-apply a recorded event sequence (see :mod:`repro.core.resmemo`).
+    def compile_replay(self, events, stat_deltas=()) -> tuple:
+        """Compile a recorded event sequence against the current rates.
 
-        Nanoseconds are re-derived from the *current* rate table using the
-        exact floating-point operation order of :meth:`charge` /
-        :meth:`charge_in`, so replaying is bit-identical to re-running the
-        original charges — including after a :meth:`recalibrate`.
-        """
-        rates = self._rates
-        clock = self.clock
-        by_primitive = self.by_primitive
-        by_scope = self.by_scope
-        counts = self.counts
-        for scope, primitive, times, nbytes in events:
-            if scope is _RAW_NS:
-                # (sentinel, scope_hint, ns, scope at charge time)
-                ns = times
-                clock.advance(ns)
-                by_primitive[primitive] = by_primitive.get(primitive, 0.0) + ns
-                if nbytes is not None:
-                    by_scope[nbytes] = by_scope.get(nbytes, 0.0) + ns
-                continue
-            per_call, per_byte = rates[primitive]
-            ns = per_call * times
-            if nbytes:
-                ns += per_byte * nbytes
-            clock._now_ns = clock._now_ns + ns
-            try:
-                counts[primitive] += times
-                by_primitive[primitive] += ns
-            except KeyError:
-                counts[primitive] = counts.get(primitive, 0) + times
-                by_primitive[primitive] = by_primitive.get(primitive, 0.0) + ns
-            if scope is not None:
-                try:
-                    by_scope[scope] += ns
-                except KeyError:
-                    by_scope[scope] = ns
+        Returns ``(kernel, args, total_ns)``.  ``kernel(clock,
+        by_primitive, by_scope, counts, extra, args)`` applies exactly
+        what re-running the original charges would — the same float
+        additions to the clock and the attribution dicts, in the same
+        order — followed by the integer ``counts`` deltas and the
+        ``stat_deltas`` (``(name, int delta)`` pairs, applied to the
+        dict passed as ``extra``).  ``total_ns`` is the left-to-right
+        float fold of the events' nanoseconds.
 
-    def compile_events(self, events) -> tuple:
-        """Pre-derive an event sequence against the current rate table.
+        Each event's ns is the exact float :meth:`charge` computes
+        (``per_call * times`` then ``+ per_byte * nbytes``); raw
+        :meth:`charge_ns` events carry their recorded ns.  Integer
+        addition is associative, so ``counts`` deltas fold per
+        primitive; the float updates are not, and stay per event.
 
-        Returns ``(rates_version, rows, count_deltas)``.  Each row is
-        ``(scope, primitive, times, ns)`` with ``ns`` the exact float
-        :meth:`charge` would compute (``per_call * times`` then
-        ``+ per_byte * nbytes``), so :meth:`replay_compiled` can skip
-        the rate lookup and multiplications per event while keeping the
-        identical floating-point accumulation order.  Raw
-        :meth:`charge_ns` events are marked with ``times is None``.
-        ``count_deltas`` aggregates the integer ``counts`` updates —
-        integer addition is associative, so folding them per primitive
-        is exact (the float ``by_primitive``/``by_scope``/clock updates
-        are not, and stay per-event).
+        The kernel is keyed by the sequence's charge *shape* — each
+        event's ``(scope, primitive, is_raw)``, the count-delta
+        primitives and the stat-delta names — and shared process-wide
+        by every sequence of that shape; ``args`` carries this
+        sequence's numbers (ns per event, then count and stat deltas).
+        Two resolutions that differ only in name lengths, or one
+        sequence before and after a :meth:`recalibrate`, therefore
+        share one kernel object.
         """
         rates = self._rates
         rows = []
+        ns_args = []
         count_deltas: Dict[str, int] = {}
+        total = 0.0
         for scope, primitive, times, nbytes in events:
             if scope is _RAW_NS:
                 # (sentinel, scope_hint, ns, scope at charge time)
-                rows.append((nbytes, primitive, None, times))
-                continue
-            per_call, per_byte = rates[primitive]
-            ns = per_call * times
-            if nbytes:
-                ns += per_byte * nbytes
-            rows.append((scope, primitive, times, ns))
-            count_deltas[primitive] = count_deltas.get(primitive, 0) + times
-        return (self.rates_version, tuple(rows), tuple(count_deltas.items()))
-
-    def replay_compiled(self, rows, count_deltas) -> None:
-        """Re-apply a :meth:`compile_events` sequence (hot replay path).
-
-        Bit-identical to :meth:`replay_events` on the same events: the
-        clock and the float attribution dicts receive the same additions
-        in the same order (the clock value is carried in a local between
-        events — pure hoisting), and the integer counters receive the
-        same totals.
-        """
-        clock = self.clock
-        by_primitive = self.by_primitive
-        by_scope = self.by_scope
-        now = clock._now_ns
-        for scope, primitive, times, ns in rows:
-            if times is None:
-                # Raw charge_ns event: scope holds the scope at charge
-                # time, primitive the scope hint.  Route through the
-                # clock's monotonicity check like the original did.
-                clock._now_ns = now
-                clock.advance(ns)
-                now = clock._now_ns
-                by_primitive[primitive] = by_primitive.get(primitive, 0.0) + ns
-                if scope is not None:
-                    by_scope[scope] = by_scope.get(scope, 0.0) + ns
-                continue
-            now = now + ns
-            try:
-                by_primitive[primitive] += ns
-            except KeyError:
-                by_primitive[primitive] = by_primitive.get(primitive, 0.0) + ns
-            if scope is not None:
-                try:
-                    by_scope[scope] += ns
-                except KeyError:
-                    by_scope[scope] = ns
-        clock._now_ns = now
-        counts = self.counts
-        for primitive, times in count_deltas:
-            try:
-                counts[primitive] += times
-            except KeyError:
-                counts[primitive] = times
-
-    @staticmethod
-    def compile_replay_fn(rows, count_deltas, extra_deltas=()):
-        """exec-compile a replay sequence into a straight-line function.
-
-        Returns ``fn(clock, by_primitive, by_scope, counts, extra)``
-        applying exactly what :meth:`replay_compiled` would: same
-        statements, same order, same floats — but with every row's
-        constants baked into generated bytecode (``repr`` of a float
-        round-trips exactly), so a hot memo entry replayed thousands of
-        times pays no per-row tuple unpacking or loop dispatch.
-
-        ``extra_deltas`` is a second integer-delta section applied to the
-        ``extra`` dict argument (the resolution memo passes its stats
-        counters there); pass ``()`` and ``None`` when unused.
-        """
-        src = ["def _replay_fn(clock, bp, bs, counts, extra):",
-               " now = clock._now_ns"]
-        app = src.append
-        for scope, primitive, times, ns in rows:
-            r = repr(ns)
-            if times is None:
-                # Raw charge_ns event: route through the clock's
-                # monotonicity check like the original charge did.
-                app(" clock._now_ns = now")
-                app(f" clock.advance({r})")
-                app(" now = clock._now_ns")
-                app(f" bp[{primitive!r}] = bp.get({primitive!r}, 0.0) + {r}")
-                if scope is not None:
-                    app(f" bs[{scope!r}] = bs.get({scope!r}, 0.0) + {r}")
-                continue
-            app(f" now = now + {r}")
-            # 0.0 + ns == ns exactly for the nonnegative charges the
-            # model produces, so the miss arm may store the constant.
-            app(f" try: bp[{primitive!r}] += {r}")
-            app(f" except KeyError: bp[{primitive!r}] = {r}")
-            if scope is not None:
-                app(f" try: bs[{scope!r}] += {r}")
-                app(f" except KeyError: bs[{scope!r}] = {r}")
-        app(" clock._now_ns = now")
-        for primitive, times in count_deltas:
-            app(f" try: counts[{primitive!r}] += {times}")
-            app(f" except KeyError: counts[{primitive!r}] = {times}")
-        for name, delta in extra_deltas:
-            app(f" try: extra[{name!r}] += {delta}")
-            app(f" except KeyError: extra[{name!r}] = {delta}")
-        namespace: Dict[str, object] = {}
-        exec("\n".join(src), namespace)  # noqa: S102 - self-generated code
-        return namespace["_replay_fn"]
+                rows.append((nbytes, primitive, True))
+                ns = times
+            else:
+                per_call, per_byte = rates[primitive]
+                ns = per_call * times
+                if nbytes:
+                    ns += per_byte * nbytes
+                rows.append((scope, primitive, False))
+                count_deltas[primitive] = count_deltas.get(primitive,
+                                                           0) + times
+            ns_args.append(ns)
+            total += ns
+        shape = (tuple(rows), tuple(count_deltas),
+                 tuple([name for name, _ in stat_deltas]))
+        args = (*ns_args, *count_deltas.values(),
+                *[delta for _, delta in stat_deltas])
+        return _kernel_for(shape), args, total
 
     # -- attribution --------------------------------------------------------
 

@@ -68,33 +68,6 @@ def _capture_clean(events) -> bool:
     return True
 
 
-#: Compiled plan replay functions keyed by (rate table, event stream).
-#: Shared across CostModel instances on purpose: benchmark repetitions
-#: restore snapshots whose captures produce byte-identical streams, so
-#: the exec-compile cost of a large whole-pass plan is paid once per
-#: distinct stream, not once per restored kernel.  The key includes the
-#: full rate table (not ``rates_version``, which is per-instance), so
-#: two models with different calibrations can never share a function.
-_FN_CACHE: Dict[Any, Tuple[Any, float]] = {}
-_FN_CACHE_MAX = 64
-
-
-def _plan_fn(costs, events: tuple) -> Tuple[Any, float]:
-    """(straight-line replay fn, exact total ns) for an event stream."""
-    key = (tuple(sorted(costs.charges.items())), events)
-    hit = _FN_CACHE.get(key)
-    if hit is None:
-        _version, crows, count_deltas = costs.compile_events(events)
-        fn = costs.compile_replay_fn(crows, count_deltas)
-        total = 0.0
-        for crow in crows:
-            total += crow[3]
-        if len(_FN_CACHE) >= _FN_CACHE_MAX:
-            _FN_CACHE.clear()
-        hit = _FN_CACHE[key] = (fn, total)
-    return hit
-
-
 def _normalize(value: Any) -> Any:
     """Recursively turn JSON sequences back into tuples.
 
@@ -401,16 +374,19 @@ def _quantized(kernel: Kernel, body) -> None:
     sweeper.sweep_all()
 
 
-def _new_plan(fn, stat_deltas, total_ns, gen, rates_version, capture=None,
-              fn2=None, q_fired=None, body_ns=None) -> ChargePlan:
+def _new_plan(fn, args, stat_deltas, total_ns, gen, rates_version,
+              capture=None, fn2=None, args2=None, q_fired=None,
+              body_ns=None) -> ChargePlan:
     plan = ChargePlan()
     plan.fn = fn
+    plan.args = args
     plan.stat_deltas = stat_deltas
     plan.total_ns = total_ns
     plan.gen = gen
     plan.rates_version = rates_version
     plan.capture = capture
     plan.fn2 = fn2
+    plan.args2 = args2
     plan.q_fired = q_fired
     plan.body_ns = total_ns if body_ns is None else body_ns
     return plan
@@ -430,7 +406,8 @@ def _compile_pass_plan(costs, registry, capture) -> ChargePlan:
     """Compile a confirmed whole-pass/whole-drain capture into a plan.
 
     Non-quantized captures (``boundary is None``) compile to a single
-    straight-line function.  Quantized captures split at the stamped
+    shape kernel (:meth:`~repro.sim.costs.CostModel.compile_replay`).
+    Quantized captures split at the stamped
     boundary: ``fn`` replays the body's charges, ``fn2`` (when the
     boundary sweep fired and charged anything) replays the catch-up
     sweep's charges, and apply emulates the ticker in between
@@ -438,18 +415,18 @@ def _compile_pass_plan(costs, registry, capture) -> ChargePlan:
     """
     events, deltas, boundary, fired = capture
     if boundary is None:
-        fn, total = _plan_fn(costs, events)
-        return _new_plan(fn, deltas, total, registry.gen,
+        fn, args, total = costs.compile_replay(events)
+        return _new_plan(fn, args, deltas, total, registry.gen,
                          costs.rates_version, capture=capture)
-    body_fn, body_ns = _plan_fn(costs, events[:boundary])
-    fn2 = None
+    body_fn, body_args, body_ns = costs.compile_replay(events[:boundary])
+    fn2 = args2 = None
     total = body_ns
     if boundary < len(events):
-        fn2, sweep_ns = _plan_fn(costs, events[boundary:])
+        fn2, args2, sweep_ns = costs.compile_replay(events[boundary:])
         total = body_ns + sweep_ns
-    return _new_plan(body_fn, deltas, total, registry.gen,
+    return _new_plan(body_fn, body_args, deltas, total, registry.gen,
                      costs.rates_version, capture=capture, fn2=fn2,
-                     q_fired=fired, body_ns=body_ns)
+                     args2=args2, q_fired=fired, body_ns=body_ns)
 
 
 #: Static unit tables keyed by (id(program), fine) with identity check.
@@ -637,7 +614,7 @@ class _StreamState:
                     ok = False
                 if ok:
                     plan.fn(self.clock, costs.by_primitive,
-                            costs.by_scope, costs.counts, None)
+                            costs.by_scope, costs.counts, None, plan.args)
                     if plan.stat_deltas:
                         self.stats.bump_many(plan.stat_deltas)
                     for slot, offset in seg.seeks:
@@ -682,8 +659,8 @@ class _StreamState:
         if pending is None:
             cell.pending = capture
         elif pending == capture:
-            fn, total = _plan_fn(costs, events)
-            cell.plan = _new_plan(fn, capture[1], total, registry.gen,
+            fn, args, total = costs.compile_replay(events)
+            cell.plan = _new_plan(fn, args, capture[1], total, registry.gen,
                                   costs.rates_version, capture=capture)
             cell.pending = None
             cell.fail_streak = 0
@@ -742,8 +719,8 @@ class _StreamState:
         elif cell.retries <= registry.MAX_RETRIES \
                 and registry.shape_local(events, plan.capture[0]):
             if cell.pending == capture:
-                fn, total = _plan_fn(costs, events)
-                registry.patch(cell, fn, total, capture,
+                fn, args, total = costs.compile_replay(events)
+                registry.patch(cell, fn, args, total, capture,
                                costs.rates_version, self.task)
             else:
                 cell.pending = capture
@@ -888,12 +865,12 @@ def _apply_plan(kernel: Kernel, registry, cell, quantize: bool) -> bool:
             cell.reset()
         return False
     plan.fn(clock, costs.by_primitive, costs.by_scope, costs.counts,
-            None)
+            None, plan.args)
     if quantize and plan.q_fired:
         kernel.sweeper.ticker.fire()
         if plan.fn2 is not None:
             plan.fn2(clock, costs.by_primitive, costs.by_scope,
-                     costs.counts, None)
+                     costs.counts, None, plan.args2)
     if plan.stat_deltas:
         kernel.stats.bump_many(plan.stat_deltas)
     cell.armed_now = clock._now_ns

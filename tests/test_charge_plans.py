@@ -25,8 +25,11 @@ PROFILES = ("baseline", "optimized", "optimized-lazy")
 def _fingerprint(kernel):
     """Every virtual-cost accumulator, exact floats included."""
     costs = kernel.costs
-    return (costs.now_ns, dict(costs.counts), dict(costs.by_primitive),
-            dict(costs.by_scope), kernel.stats.snapshot())
+    # Item lists, not dicts: key order is part of the contract too (replay
+    # kernels write their dict keys back in first-use order).
+    return (costs.now_ns, list(costs.counts.items()),
+            list(costs.by_primitive.items()), list(costs.by_scope.items()),
+            list(kernel.stats.snapshot().items()))
 
 
 def _loop_setup(profile):

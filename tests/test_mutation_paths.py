@@ -27,7 +27,7 @@ from repro import O_CREAT, O_RDWR, make_kernel
 from repro.core.coherence import SEQ_WRAP
 from repro.errors import FsError
 from repro.workloads.compile import build_loop_trace, compile_trace
-from repro.workloads.traces import _plan_fn, replay_compiled
+from repro.workloads.traces import replay_compiled
 
 PROFILES = ("baseline", "optimized", "optimized-lazy")
 
@@ -35,8 +35,11 @@ PROFILES = ("baseline", "optimized", "optimized-lazy")
 def _fingerprint(kernel):
     """Every virtual-cost accumulator, exact floats included."""
     costs = kernel.costs
-    return (costs.now_ns, dict(costs.counts), dict(costs.by_primitive),
-            dict(costs.by_scope), kernel.stats.snapshot())
+    # Item lists, not dicts: key order is part of the contract too (replay
+    # kernels write their dict keys back in first-use order).
+    return (costs.now_ns, list(costs.counts.items()),
+            list(costs.by_primitive.items()), list(costs.by_scope.items()),
+            list(kernel.stats.snapshot().items()))
 
 
 # -- batched vs. recursive shootdown ---------------------------------------
@@ -283,8 +286,8 @@ def _forge_stale_capture(kernel, program, shape_local):
     else:
         forged = (events[:-1], deltas)
         assert not registry.shape_local(forged[0], events)
-    fn, total = _plan_fn(kernel.costs, forged[0])
-    registry.patch(cell, fn, total, forged, kernel.costs.rates_version,
+    fn, args, total = kernel.costs.compile_replay(forged[0])
+    registry.patch(cell, fn, args, total, forged, kernel.costs.rates_version,
                    object())
     registry.patched = 0  # the forge itself went through patch()
     return cell

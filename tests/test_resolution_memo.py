@@ -48,8 +48,11 @@ PROFILES = ("baseline", "optimized", "optimized-lazy")
 def _fingerprint(kernel):
     """Everything virtual: exact equality means bit-identical behaviour."""
     costs = kernel.costs
-    return (costs.now_ns, dict(costs.counts), dict(costs.by_primitive),
-            dict(costs.by_scope), kernel.stats.snapshot())
+    # Item lists, not dicts: key order is part of the contract too (replay
+    # kernels write their dict keys back in first-use order).
+    return (costs.now_ns, list(costs.counts.items()),
+            list(costs.by_primitive.items()), list(costs.by_scope.items()),
+            list(kernel.stats.snapshot().items()))
 
 
 def _try_stat(kernel, task, path):
@@ -125,38 +128,138 @@ class TestGoldenDifferential:
         assert on.memo.flushes > 0
 
     @pytest.mark.parametrize("profile", PROFILES)
-    def test_exec_compiled_replay_bit_identical(self, profile):
-        """The exec-generated replay function (installed once an entry
-        has replayed ``_EXEC_AFTER`` times) charges bit-identically to
-        the interpreted replay path it specializes."""
-        from repro.core.resmemo import ResolutionMemo
-
+    def test_shape_kernel_replay_bit_identical(self, profile):
+        """Replays through the shared shape kernels charge bit-identically
+        to running the resolver (a memo-off twin)."""
         def workload(kernel, task):
             kernel.sys.mkdir(task, "/d")
             _mkfile(kernel, task, "/d/f")
             out = []
-            for _ in range(12):  # far past _EXEC_AFTER
+            for _ in range(12):
                 out.append(kernel.sys.stat(task, "/d/f"))
                 out.append(_try_stat(kernel, task, "/d/missing"))
             return out
 
-        interp = make_kernel(profile)
-        execed = make_kernel(profile)
-        orig = ResolutionMemo._EXEC_AFTER
-        ResolutionMemo._EXEC_AFTER = 1 << 30  # interpreted forever
-        try:
-            out_i = workload(interp, interp.spawn_task(uid=0, gid=0))
-        finally:
-            ResolutionMemo._EXEC_AFTER = orig
-        out_e = workload(execed, execed.spawn_task(uid=0, gid=0))
-        assert out_i == out_e
-        assert _fingerprint(interp) == _fingerprint(execed)
-        # Vacuous unless the exec path actually engaged on the candidate
-        # (and stayed off on the reference).
-        assert any(e.compiled is not None and e.compiled[5] is not None
-                   for e in execed.memo._entries.values())
-        assert all(e.compiled is None or e.compiled[5] is None
-                   for e in interp.memo._entries.values())
+        on = make_kernel(profile)
+        off = make_kernel(profile, resolution_memo=False)
+        out_on = workload(on, on.spawn_task(uid=0, gid=0))
+        out_off = workload(off, off.spawn_task(uid=0, gid=0))
+        assert out_on == out_off
+        assert _fingerprint(on) == _fingerprint(off)
+        # Vacuous unless replays ran through compiled kernels.
+        assert on.memo.hits > 0
+        assert any(e.compiled is not None for e in on.memo._entries.values())
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_same_shape_paths_share_one_kernel(self, profile):
+        """Two paths whose resolutions differ only in name length (so in
+        per-byte ns) replay through one kernel object with their own
+        arguments, and both match memo-off."""
+        def workload(kernel, task):
+            kernel.sys.mkdir(task, "/d")
+            _mkfile(kernel, task, "/d/f")
+            _mkfile(kernel, task, "/d/a_much_longer_name")
+            out = []
+            for _ in range(6):
+                out.append(kernel.sys.stat(task, "/d/f"))
+                out.append(kernel.sys.stat(task, "/d/a_much_longer_name"))
+            return out
+
+        on = make_kernel(profile)
+        off = make_kernel(profile, resolution_memo=False)
+        assert (workload(on, on.spawn_task(uid=0, gid=0))
+                == workload(off, off.spawn_task(uid=0, gid=0)))
+        assert _fingerprint(on) == _fingerprint(off)
+        short, long_ = (
+            next(e.compiled for k, e in on.memo._entries.items()
+                 if k[4] == path)
+            for path in ("/d/f", "/d/a_much_longer_name"))
+        assert short is not None and long_ is not None
+        assert short[1] is long_[1]
+        assert short[2] != long_[2]
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_recalibrate_between_replays(self, profile):
+        """A rate change between replays re-derives the kernel arguments:
+        memo-on still matches memo-off to the bit."""
+        def workload(kernel, task):
+            kernel.sys.mkdir(task, "/d")
+            _mkfile(kernel, task, "/d/f")
+            out = []
+            for round_ in range(3):
+                for _ in range(5):
+                    out.append(kernel.sys.stat(task, "/d/f"))
+                    out.append(_try_stat(kernel, task, "/d/missing"))
+                kernel.costs.recalibrate(
+                    syscall_fixed=131.0 + round_,
+                    component_hash_per_byte=1.7 + round_ / 3,
+                    sig_hash_per_byte=4.1 + round_ / 7)
+            return out
+
+        on = make_kernel(profile)
+        off = make_kernel(profile, resolution_memo=False)
+        assert (workload(on, on.spawn_task(uid=0, gid=0))
+                == workload(off, off.spawn_task(uid=0, gid=0)))
+        assert _fingerprint(on) == _fingerprint(off)
+        assert on.memo.hits > 0
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_more_shapes_than_kernel_cache_bound(self, profile,
+                                                 monkeypatch):
+        """With the kernel LRU far smaller than the number of live shapes,
+        evicted kernels keep serving their entries and recompiles stay
+        bit-identical."""
+        from collections import OrderedDict
+        from repro.sim import costs as costs_mod
+        monkeypatch.setattr(costs_mod, "_KERNELS", OrderedDict())
+        monkeypatch.setattr(costs_mod, "_KERNEL_CACHE_MAX", 2)
+        before = costs_mod.kernel_telemetry()
+
+        def workload(kernel, task):
+            paths = []
+            parent = ""
+            for depth in range(6):
+                parent = f"{parent}/d{depth}"
+                kernel.sys.mkdir(task, parent)
+                _mkfile(kernel, task, f"{parent}/f")
+                paths += [f"{parent}/f", f"{parent}/missing", parent]
+            out = []
+            for _ in range(5):
+                for path in paths:
+                    out.append(_try_stat(kernel, task, path))
+            return out
+
+        on = make_kernel(profile)
+        off = make_kernel(profile, resolution_memo=False)
+        assert (workload(on, on.spawn_task(uid=0, gid=0))
+                == workload(off, off.spawn_task(uid=0, gid=0)))
+        assert _fingerprint(on) == _fingerprint(off)
+        after = costs_mod.kernel_telemetry()
+        assert on.memo.hits > 0
+        assert after["evictions"] > before["evictions"]
+        assert len(costs_mod._KERNELS) <= 2
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_replayed_error_traceback_stays_bounded(self, profile):
+        """Re-raising the stored FsError on every memo hit must not grow
+        its traceback chain (each raise used to prepend a frame)."""
+        kernel = make_kernel(profile)
+        task = kernel.spawn_task(uid=0, gid=0)
+        kernel.sys.mkdir(task, "/d")
+        for _ in range(250):
+            with pytest.raises(errors.FsError):
+                kernel.sys.stat(task, "/d/missing")
+        assert kernel.memo.hits >= 200
+        stored = [e.outcome_exc for e in kernel.memo._entries.values()
+                  if e.outcome_exc is not None]
+        assert stored
+        for exc in stored:
+            depth = 0
+            tb = exc.__traceback__
+            while tb is not None:
+                depth += 1
+                tb = tb.tb_next
+            assert depth < 20
 
     @pytest.mark.parametrize("profile", PROFILES)
     def test_flush_midstream_changes_nothing_virtual(self, profile):
